@@ -161,8 +161,8 @@ class HiraRefreshEngine(RefreshEngine):
                     self._bank_deadline[key] = deadline
             state.next_gen += state.period
             heapq.heappush(heap, (int(state.next_gen), rank, bank))
-        # New pending requests mean new deadlines: invalidate the memoized
-        # next_event (generation can fire outside a command issue).
+        # New pending requests mean new deadlines: invalidate the schedule
+        # memo (generation can fire outside a command issue).
         self._struct_dirty = True
         self.mc.mark_dirty()
 
@@ -171,7 +171,7 @@ class HiraRefreshEngine(RefreshEngine):
         raw deadline)."""
         self._struct_dirty = True
         # Every caller pops a pending refresh first, which changes the
-        # deadline structure feeding next_event; marking here (the shared
+        # deadline structure feeding urgent_wake; marking here (the shared
         # pop chokepoint) keeps the memo contract local instead of relying
         # on each caller's subsequent command issue to set the flag.
         self.mc.mark_dirty()
@@ -303,10 +303,10 @@ class HiraRefreshEngine(RefreshEngine):
                 else:
                     spilled.append((rank, bank_id, row, deadline))
             # Re-admitted entries regain deadline-driven scheduling: the
-            # memoized next_event must see the new deadlines.  Marking
+            # schedule memo must see the new deadlines.  Marking
             # unconditionally (even when every FIFO was still full and
-            # ``spilled`` is identical) only costs a recompute of the same
-            # value on this already-rare spill path, and keeps the
+            # ``spilled`` is identical) only costs one extra schedule
+            # pass on this already-rare spill path, and keeps the
             # mutation and its mark on one branch.
             self._preventive = spilled
             self._struct_dirty = True
@@ -531,12 +531,6 @@ class HiraRefreshEngine(RefreshEngine):
             self._queue_preventive(rank, bank_id, row, deadline)
 
     # ------------------------------------------------------------------
-    def next_deadline(self, now: int) -> int:
-        heap = self._gen_heap
-        if heap and heap[0][0] <= now:
-            self._advance_generation(now)
-        return self._deadline_wake(now)
-
     def _deadline_wake(self, now: int) -> int:
         """Earliest cycle pending refresh work wants the bus.
 

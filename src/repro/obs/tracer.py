@@ -158,11 +158,13 @@ class SimTracer:
     # Stall attribution
     # ------------------------------------------------------------------
     def on_stall(self, now: int) -> None:
-        """Called when a visited cycle's schedule pass issued nothing.
+        """Called when a schedule pass issued nothing.
 
-        Re-derives the scheduler's legality checks for the head window of
-        each demand queue (read-only) and records the binding gate with
-        the earliest release cycle.  Idle cycles (no demand queued) are
+        The system loop then sleeps the controller until its wake memo,
+        so this records one stall per skipped interval.  Re-derives the
+        scheduler's legality checks for the head window of each demand
+        queue (read-only) and records the binding gate with the earliest
+        release cycle.  Idle cycles (no demand queued) are
         not stalls and record nothing.
         """
         mc = self.mc

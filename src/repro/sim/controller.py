@@ -14,18 +14,23 @@ rank / flattened ``(rank, bankgroup)`` (rank axes), instead of nested
 per-object attributes.  The scheduler no longer scans request queues:
 per-bank FCFS deques and per-``(bank, row)`` row-hit deques are
 maintained at enqueue/dequeue, so command selection visits only banks
-that have work.  ``schedule()`` additionally memoizes its own next
-useful cycle (``_progress_at``) whenever a call provably issued nothing
-and mutated nothing, letting the system loop skip idle controllers
-entirely.  All of it is bit-identical to the scan-based kernel — the
-kernel A/B goldens and audit-digest goldens in
-``tests/test_kernel_equivalence.py`` enforce exactly that.
+that have work.
+
+One wake mechanism
+------------------
+``schedule()`` memoizes its own next useful cycle (``_progress_at``)
+whenever a call provably issued nothing and mutated nothing; every
+scheduling-state mutation resets it to 0 (``mark_dirty`` or the inlined
+stores in the issue primitives).  The system loop jumps straight to the
+earliest memo, so a controller is visited exactly when ``schedule()``
+could act.  ``System.run(dense=True)`` calls ``schedule()`` on every
+cycle instead; ``tests/test_kernel_equivalence.py`` checks that it
+reproduces the kernel A/B goldens and audit-digest goldens exactly.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from collections import deque
 from dataclasses import dataclass
 
@@ -36,6 +41,11 @@ _FAR_FUTURE = 1 << 60
 #: Sentinel returned by ``_schedule_queues`` when it issued a command (any
 #: real wake bound is a non-negative cycle).
 _ISSUED = -2
+#: ``_progress_at`` while a ``schedule`` call runs.  Every mutation
+#: overwrites it with 0, so finding it unchanged at the end proves the call
+#: mutated nothing.  Like 0 it is below every cycle, so the system loop
+#: would treat a leaked value as "run again next cycle".
+_IN_FLIGHT = -1
 
 
 class TimingArrays:
@@ -99,8 +109,8 @@ class _FawView:
     Mutations resync the rank's derived ``act_floor`` so tests that poke
     the window directly (e.g. ``mc.ranks[0].faw.clear()``) keep the
     maintained gate coherent with the raw deque, and invalidate the
-    controller's schedule/next_event memos like any other scheduling-state
-    mutation would.
+    controller's schedule memo like any other scheduling-state mutation
+    would.
     """
 
     __slots__ = ("_mc", "_r", "_dq")
@@ -462,10 +472,6 @@ class RefreshEngine:
         """Issue due refresh work; returns True if a command was issued."""
         return self._service_preventive(now)
 
-    def next_deadline(self, now: int) -> int:
-        """Next cycle at which the engine wants the bus."""
-        return self._preventive_deadline(now)
-
     def urgent_wake(self, now: int) -> int:
         """Never-late bound for the next cycle ``urgent`` could act.
 
@@ -603,13 +609,6 @@ class BaselineRefreshEngine(RefreshEngine):
         self._sb_promote(now)
         return self._sb_issue_due(now)
 
-    def _sb_next_deadline(self, now: int) -> int:
-        soonest = self._sb_drain_wake(now, self._preventive_deadline(now))
-        heap = self._sb_heap
-        if heap and heap[0][0] < soonest:
-            soonest = heap[0][0]
-        return soonest
-
     def _sb_urgent_wake(self, now: int) -> int:
         """Mirror of ``_sb_urgent``'s gates for the schedule memo."""
         # _sb_drain_wake mirrors _sb_issue_due's per-bank gates exactly;
@@ -656,20 +655,6 @@ class BaselineRefreshEngine(RefreshEngine):
             ta.ref_due[rank_id] += mc.trefi_c
             return True
         return False
-
-    def next_deadline(self, now: int) -> int:
-        if self._same_bank:
-            return self._sb_next_deadline(now)
-        soonest = self._preventive_deadline(now)
-        ta = self.mc._ta
-        ref_ready = ta.ref_ready
-        for rank_id, due in enumerate(ta.ref_due):
-            c = ref_ready[rank_id]
-            if c > due:
-                due = c
-            if due < soonest:
-                soonest = due
-        return soonest
 
     def urgent_wake(self, now: int) -> int:
         if self._same_bank:
@@ -782,26 +767,14 @@ class MemoryController:
         self._hit_write: set[int] = set()
         #: Monotonic arrival stamp; queue order == ascending ``seq``.
         self._seq = 0
-        #: ``next_event`` memo: valid while ``_dirty`` is False and the
-        #: cached cycle is still in the future.  Every mutation that can
-        #: create an earlier event — command issue, enqueue, dequeue, or a
-        #: refresh-engine state change — sets ``_dirty``.
-        self._dirty = True
-        self._next_event_cache = -1
-        #: Mutation epoch: bumped by every state mutation (alongside
-        #: ``_dirty``).  ``schedule`` snapshots it to prove a failing call
-        #: was mutation-free before trusting its computed wake bound.
-        self._epoch = 0
         #: ``schedule`` self-memo: the earliest cycle at which calling
         #: ``schedule`` could do anything (issue or mutate).  The system
-        #: loop skips the call entirely while ``cycle < _progress_at``;
-        #: every mutation resets it to 0 ("must run").  Exact-by-proof:
-        #: only set when a call issued nothing and mutated nothing, from
-        #: gates that are frozen until the next (memo-voiding) mutation.
+        #: loop neither calls ``schedule`` nor wakes for this controller
+        #: while ``cycle < _progress_at``; every mutation resets it to 0
+        #: ("must run").  Exact-by-proof: only set when a call issued
+        #: nothing and mutated nothing, from gates that are frozen until
+        #: the next (memo-voiding) mutation.
         self._progress_at = 0
-        #: Kill switch for A/B debugging: REPRO_NO_SCHED_MEMO=1 keeps
-        #: ``_progress_at`` at 0 so schedule runs on every visited cycle.
-        self._memo = os.environ.get("REPRO_NO_SCHED_MEMO") != "1"
         self.stats = ControllerStats()
         self.completions: list[tuple[int, Request]] = []
         #: Optional :class:`repro.sim.audit.CommandAuditor` observing the
@@ -818,15 +791,13 @@ class MemoryController:
     # State access helpers (also used by refresh engines)
     # ------------------------------------------------------------------
     def mark_dirty(self) -> None:
-        """Invalidate the ``next_event`` memo and the schedule self-memo.
+        """Invalidate the ``schedule`` memo (``_progress_at``).
 
-        Called by every command-issue primitive and by refresh engines
-        whenever they mutate deadline-bearing state outside an issue (e.g.
-        periodic request generation, PR-FIFO re-admission).  Also bumps
-        the mutation epoch so an in-flight ``schedule`` call knows it may
-        not record a wake bound."""
-        self._dirty = True
-        self._epoch += 1
+        Called by refresh engines and the state views whenever they
+        mutate scheduling state outside an issue primitive (e.g. periodic
+        request generation, PR-FIFO re-admission); the issue primitives
+        inline the same store.  Resetting also tells an in-flight
+        ``schedule`` call that it may not record a wake bound."""
         self._progress_at = 0
 
     def bank(self, rank: int, bank: int) -> _BankState:
@@ -893,14 +864,13 @@ class MemoryController:
     def act_allowed_at(self, rank: int, bank_id: int) -> int:
         """Earliest cycle the bank's next ACT satisfies every rank gate.
 
-        KEEP IN LOCKSTEP: this formula is hand-inlined in four hot scans
-        — ``RefreshEngine._service_preventive`` /
-        ``_preventive_deadline``, ``next_event``, the FCFS pass of
-        ``_schedule_queues``, and the due-scan slow path of the HiRA
-        engine's ``_deadline_wake`` (all marked "act_allowed_at,
-        inlined").  A
-        new ACT gate must be added to all of them or the event loop's
-        wake times diverge from the issue-time legality checks.  The
+        KEEP IN LOCKSTEP: this formula is hand-inlined in the hot scans
+        ``RefreshEngine._service_preventive`` / ``_preventive_deadline``,
+        the FCFS pass of ``_schedule_queues``, and the due-scan slow path
+        of the HiRA engine's ``_deadline_wake`` (all marked
+        "act_allowed_at, inlined").  A new ACT gate must be added to all
+        of them or the ``schedule`` memo's wake times diverge from the
+        issue-time legality checks.  The
         tFAW and tRRD_S terms are pre-folded into the maintained
         ``act_floor`` (see :class:`TimingArrays`); a gate that cannot
         fold into it must be added to every inline copy.  (tRTP feeds
@@ -989,8 +959,6 @@ class MemoryController:
         self._hit_read.discard(g)
         self._hit_write.discard(g)
         self.bus_next = now + 1
-        self._dirty = True
-        self._epoch += 1
         self._progress_at = 0
         self.stats.pres += 1
         if self.auditor is not None:
@@ -1012,8 +980,6 @@ class MemoryController:
             self._hit_write.add(g)
         self._record_act(rank, bank_id, now)
         self.bus_next = now + 1
-        self._dirty = True
-        self._epoch += 1
         self._progress_at = 0
         self.stats.acts += 1
         self.stats.row_misses += 1
@@ -1046,8 +1012,6 @@ class MemoryController:
         # Three commands (ACT, PRE, ACT) occupy three bus slots; the bus is
         # free between them for other banks.
         self.bus_next = now + 3
-        self._dirty = True
-        self._epoch += 1
         self._progress_at = 0
         self.stats.acts += 2
         self.stats.pres += 1
@@ -1077,8 +1041,6 @@ class MemoryController:
         self._record_act(rank, bank_id, now)
         self._record_act(rank, bank_id, now + self.hira_gap_c)
         self.bus_next = now + 3
-        self._dirty = True
-        self._epoch += 1
         self._progress_at = 0
         heapq.heappush(self._scheduled_closes, (close, rank, bank_id))
         self.stats.acts += 2
@@ -1108,8 +1070,6 @@ class MemoryController:
         self._hit_write.discard(g)
         self._record_act(rank, bank_id, now)
         self.bus_next = now + 1
-        self._dirty = True
-        self._epoch += 1
         self._progress_at = 0
         heapq.heappush(self._scheduled_closes, (close, rank, bank_id))
         self.stats.acts += 1
@@ -1141,8 +1101,6 @@ class MemoryController:
             hit_read.discard(g)
             hit_write.discard(g)
         self.bus_next = now + 1
-        self._dirty = True
-        self._epoch += 1
         self._progress_at = 0
         self.stats.refs += 1
         if self.auditor is not None:
@@ -1171,8 +1129,6 @@ class MemoryController:
         self._hit_read.discard(g)
         self._hit_write.discard(g)
         self.bus_next = now + 1
-        self._dirty = True
-        self._epoch += 1
         self._progress_at = 0
         self.stats.refs_sb += 1
         if self.auditor is not None:
@@ -1217,8 +1173,6 @@ class MemoryController:
             dq.append(req)
         if self._ta.open_row[g] == addr.row:
             hit.add(g)
-        self._dirty = True
-        self._epoch += 1
         self._progress_at = 0
         return True
 
@@ -1229,15 +1183,16 @@ class MemoryController:
         if self._draining_writes:
             if len(self.write_q) <= self.config.write_drain_low:
                 self._draining_writes = False
-                # A priority flip is a scheduling-state mutation: bump the
-                # epoch so this call records no wake bound (the flip, and
-                # any flip-every-call hysteresis parity, replays exactly).
-                self._epoch += 1
+                # A priority flip is a scheduling-state mutation: reset
+                # the memo so this call records no wake bound (the flip,
+                # and any flip-every-call hysteresis parity, replays
+                # exactly).
+                self._progress_at = 0
         elif len(self.write_q) >= self.config.write_drain_high or (
             not self.read_q and self.write_q
         ):
             self._draining_writes = True
-            self._epoch += 1
+            self._progress_at = 0
         if self._draining_writes:
             return self._writes_first
         return self._reads_first
@@ -1245,24 +1200,24 @@ class MemoryController:
     def schedule(self, now: int) -> bool:
         """Try to issue one command at cycle ``now``; True if issued.
 
-        Self-memoizing: when a call issues nothing and — proven by an
-        unchanged ``_epoch`` — mutates nothing, every sub-pass's exact
-        gate fold is recorded in ``_progress_at`` and the system loop
-        skips the controller until that cycle.  The bound is never late:
-        all gates are frozen until the next mutation, and every mutation
-        path resets ``_progress_at`` to 0.  ``next_event`` is untouched
-        by this memo (its candidate set stays value-identical; it is the
-        *visit* schedule, this is the *per-visit* work filter).
+        Self-memoizing: when a call issues nothing and — proven by
+        ``_progress_at`` still holding ``_IN_FLIGHT`` — mutates nothing,
+        every sub-pass's exact gate fold is recorded in ``_progress_at``.
+        That memo is the system loop's only wake source for this
+        controller: the loop neither calls ``schedule`` nor visits a cycle
+        on its behalf until then.  The bound is never late: all gates are
+        frozen until the next mutation, and every mutation path resets
+        ``_progress_at`` to 0.  An attached tracer records the stall once,
+        at the call that sets the memo, and does not change it.
         """
         if now < self.bus_next:
+            # Nothing below the bus gate can run or mutate: this call is
+            # provably a no-op until the command bus frees.
+            self._progress_at = self.bus_next
             if self.tracer is not None:
                 self.tracer.on_stall(now)
-            elif self._memo:
-                # Nothing below the bus gate can run or mutate: this call
-                # is provably a no-op until the command bus frees.
-                self._progress_at = self.bus_next
             return False
-        epoch = self._epoch
+        self._progress_at = _IN_FLIGHT
         wake = _FAR_FUTURE
         # Deferred closing PREs of refresh operations take precedence.
         # The heap keeps the earliest close on top; a due close consumes
@@ -1273,8 +1228,6 @@ class MemoryController:
             if c <= now:
                 heapq.heappop(closes)
                 self.bus_next = now + 1
-                self._dirty = True
-                self._epoch = epoch + 1
                 self._progress_at = 0
                 return True
             wake = c
@@ -1286,9 +1239,7 @@ class MemoryController:
             return True
         if w < wake:
             wake = w
-        if self.tracer is not None:
-            self.tracer.on_stall(now)
-        elif self._memo and self._epoch == epoch:
+        if self._progress_at == _IN_FLIGHT:
             # Issued nothing, mutated nothing: the folded queue gates plus
             # the engine's never-late wake bound hold until the next
             # mutation (which resets _progress_at).  A bound <= now just
@@ -1297,6 +1248,8 @@ class MemoryController:
             if w < wake:
                 wake = w
             self._progress_at = wake
+        if self.tracer is not None:
+            self.tracer.on_stall(now)
         return False
 
     def _schedule_queues(self, queue_a: list[Request], queue_b: list[Request], now: int) -> int:
@@ -1476,8 +1429,6 @@ class MemoryController:
             hit.discard(g)
         ta = self._ta
         self.bus_next = now + 1
-        self._dirty = True
-        self._epoch += 1
         self._progress_at = 0
         if req.is_write:
             # Write recovery: the bank may not precharge until tWR after
@@ -1511,108 +1462,6 @@ class MemoryController:
             self.auditor.on_col(now, rank, bank_id, req.is_write)
         if self.tracer is not None:
             self.tracer.on_col(now, rank, bank_id, req.is_write)
-
-    # ------------------------------------------------------------------
-    def next_event(self, now: int) -> int:
-        """Earliest future cycle at which scheduling could make progress.
-
-        Memoized: the candidate set only changes through mutations that
-        set ``_dirty`` (command issues, queue changes, engine updates), and
-        every candidate only grows over time otherwise — so while the
-        controller is clean, a cached value still in the future is exactly
-        what a recomputation would return.
-
-        The candidate set is deliberately VALUE-IDENTICAL to the original
-        per-entry scan (first 8 requests per queue): it is the system
-        loop's visit schedule, and any visit-set change reorders
-        deep-queue scheduling.  Only the constants moved — the arrays are
-        flat and the tFAW/tRRD_S fold is the maintained ``act_floor``.
-        """
-        if not self._dirty and self._next_event_cache > now:
-            return self._next_event_cache
-        c = self.bus_next
-        if c == now + 1:
-            # A command just issued: every candidate is > now, and the
-            # command-bus gate now+1 is the smallest value any candidate
-            # can take — the fold below provably returns now+1, so skip
-            # it (engine deadline folds included; deferring the engine's
-            # generation advance is state-identical because it is a pure
-            # function of (heap, now) and every consumer advances first).
-            # During saturated bursts this collapses the per-issue
-            # recompute to O(1); the full fold runs at the burst's end.
-            self._next_event_cache = c
-            self._dirty = False
-            return c
-        best = _FAR_FUTURE
-        have_future = False
-        if c > now:
-            best = c
-            have_future = True
-        closes = self._scheduled_closes
-        if closes:
-            c = closes[0][0]
-            if c > now:
-                have_future = True
-                if c < best:
-                    best = c
-        c = self.engine.next_deadline(now)
-        if c > now:
-            have_future = True
-            if c < best:
-                best = c
-        ta = self._ta
-        b_open = ta.open_row
-        b_act = ta.next_act
-        b_pre = ta.next_pre
-        b_rdwr = ta.next_rdwr
-        r_busy = ta.busy_until
-        act_floor = ta.act_floor
-        group_gate = ta.group_gate
-        for queue in (self.read_q, self.write_q):
-            n = len(queue)
-            if n > 8:
-                n = 8
-            if n:
-                # Data-bus gate: a column access can issue no earlier than
-                # tCL/tCWL before the bus frees for this queue's direction
-                # (including any tRTW/tWTR turnaround); wake then.
-                c = self.data_bus_free_at(queue is self.write_q) - (
-                    self.tcwl_c if queue is self.write_q else self.tcl_c
-                )
-                if c > now:
-                    have_future = True
-                    if c < best:
-                        best = c
-            for qi in range(n):
-                req = queue[qi]
-                g = req.gbank
-                c = r_busy[req.rank]
-                if c > now:
-                    have_future = True
-                    if c < best:
-                        best = c
-                orow = b_open[g]
-                if orow == req.row:
-                    c = b_rdwr[g]
-                elif orow < 0:
-                    # act_allowed_at, inlined (hot scan).
-                    c = b_act[g]
-                    gate = act_floor[req.rank]
-                    if gate > c:
-                        c = gate
-                    gate = group_gate[req.ggroup]
-                    if gate > c:
-                        c = gate
-                else:
-                    c = b_pre[g]
-                if c > now:
-                    have_future = True
-                    if c < best:
-                        best = c
-        result = best if have_future else now + 1
-        self._next_event_cache = result
-        self._dirty = False
-        return result
 
     @property
     def pending_requests(self) -> int:

@@ -1,7 +1,10 @@
 """The full simulated system: cores + address mapper + memory controllers.
 
 The run loop is event-driven: it only visits cycles at which a core can
-issue, a controller can schedule, or a read completes, skipping idle time.
+issue, a controller's ``schedule()`` can do work (its exact
+``_progress_at`` memo), or a read completes, skipping idle time.
+``System.run(dense=True)`` visits every cycle instead and is the
+reference the event skipping must match bit for bit.
 """
 
 from __future__ import annotations
@@ -146,15 +149,20 @@ class System:
             self.controllers.append(mc)
 
     # ------------------------------------------------------------------
-    def run(self, max_cycles: int = 10_000_000) -> SimResult:
+    def run(self, max_cycles: int = 10_000_000, dense: bool = False) -> SimResult:
         """Run until every core finishes its budget or ``max_cycles``.
 
         The loop is incremental: per-core wake times are cached and
         invalidated only by the events that can change them (a read
-        completion, an issued request), and each controller memoizes its
-        ``next_event`` behind a dirty flag set by the command-issue
-        primitives — so a visited cycle costs work proportional to what
-        actually happened, not to the number of cores and queued requests.
+        completion, an issued request), and each controller's
+        ``schedule()`` memoizes the earliest cycle it could do anything
+        (``_progress_at``, reset by every scheduling-state mutation) — so
+        a visited cycle costs work proportional to what actually
+        happened, and cycles where nothing can happen are never visited.
+
+        ``dense=True`` is the reference semantics: every cycle is visited
+        and every controller's ``schedule()`` runs on it, ignoring the
+        memo.  Skipping is exact, so both modes return identical results.
         """
         cores = self.cores
         mcs = self.controllers
@@ -172,11 +180,6 @@ class System:
         #: of those events mutates the core.
         core_wake = [0] * len(cores)
         n_undone = len(cores)
-        #: Controllers whose next_event must be consulted in the jump.
-        active_mcs = [
-            mc for mc in mcs if mc.config.refresh_mode != "none"
-        ]
-        passive_mcs = [mc for mc in mcs if mc.config.refresh_mode == "none"]
         cycle = 0
         #: Cached min(core_wake): step 2 is skipped while every core
         #: sleeps and no completion was delivered this cycle (every
@@ -231,17 +234,13 @@ class System:
                 min_core_wake = min(core_wake)
 
             # 3. Each channel issues at most one command this cycle.
-            # (schedule must run on every visited cycle: ``next_event``
-            # only inspects each queue's head window, so an issue slot for
-            # a deeper request can open at a cycle another controller or
-            # core made interesting.  The one exception is proven by the
-            # controller itself: ``_progress_at`` is set only when a call
-            # issued nothing and mutated nothing, from exact gate folds
-            # that hold until the next memo-voiding mutation — so skipping
-            # until then is behavior-identical.  Completions only appear
-            # when schedule runs, so the drain is skipped with it.)
+            # ``_progress_at`` is set only when a call issued nothing and
+            # mutated nothing, from exact gate folds that hold until the
+            # next mutation (which resets it to 0) — so skipping until
+            # then is behavior-identical.  Completions only appear when
+            # schedule runs, so the drain is skipped with it.
             for mc in mcs:
-                if mc._progress_at > cycle:
+                if mc._progress_at > cycle and not dense:
                     continue
                 mc.schedule(cycle)
                 completions = mc.completions
@@ -255,32 +254,19 @@ class System:
             if not n_undone:
                 break
 
-            # 4. Jump to the next interesting cycle.
-            nxt = _FAR_FUTURE
-            if completion_heap:
-                nxt = completion_heap[0][0]
+            # 4. Jump to the next interesting cycle: the earliest pending
+            # completion, core wake or controller memo.  Both of the
+            # former are already > cycle here; a memo <= cycle (the call
+            # issued or mutated) means "run again next cycle".
+            nxt = completion_heap[0][0] if completion_heap else _FAR_FUTURE
             if min_core_wake < nxt:
                 nxt = min_core_wake
-            for mc in active_mcs:
-                # Inlined next_event memo guard: on clean visits the call
-                # (and its preamble) is pure overhead at loop frequency.
-                ne = mc._next_event_cache
-                if mc._dirty or ne <= cycle:
-                    ne = mc.next_event(cycle)
-                if ne < nxt:
-                    nxt = ne
-            for mc in passive_mcs:
-                if mc.read_q or mc.write_q:
-                    ne = mc._next_event_cache
-                    if mc._dirty or ne <= cycle:
-                        ne = mc.next_event(cycle)
-                    if ne < nxt:
-                        nxt = ne
-            if nxt <= cycle:
-                nxt = cycle + 1
+            for mc in mcs:
+                if mc._progress_at < nxt:
+                    nxt = mc._progress_at
             if nxt == _FAR_FUTURE:
                 break
-            cycle = nxt
+            cycle = nxt if nxt > cycle and not dense else cycle + 1
 
         finished = all(core.done for core in cores)
         end_cycle = max(

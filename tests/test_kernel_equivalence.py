@@ -2,22 +2,28 @@
 
 ``tests/goldens/kernel_ab.json`` holds full ``result_to_dict`` dumps
 across baseline/elastic/HiRA/PARA configurations, channel and rank
-variants.  Refactors of the event kernel (cached core wake times,
-memoized ``next_event``, O(1) queue predicates, vectorized trace
+variants.  Refactors of the event kernel (cached core wake times, the
+``schedule()`` wake memo, O(1) queue predicates, vectorized trace
 generation) are pure performance changes: every field — cycles, per-core
 IPCs, controller stats — must survive them exactly.
 
-If a future PR changes scheduler *behavior* on purpose, regenerate the
-goldens (run this file with ``REPRO_REGEN_GOLDENS=1``) in the same
+The goldens pin model semantics, not a visit schedule: the ``dense``
+tests check that ``System.run(dense=True)``, which calls ``schedule()``
+on every cycle, reproduces the same goldens the event-skipping run is
+checked against.
+
+If a future change alters scheduler *behavior* on purpose, regenerate
+the goldens (run this file with ``REPRO_REGEN_GOLDENS=1``) in the same
 commit and say so in its message; a silent diff here is a regression.
 
 Entries carrying a ``pinned`` field are *never* regenerated: the
-``-zeroturn`` entries permanently hold the PR 4 kernel's results (commit
-cb6b0c8, before tRTW/tWTR bus-turnaround gating and DDR5 same-bank
-refresh existed) and run with ``trtw = twtr = 0`` timing overrides and
-``refresh_granularity="all_bank"`` — proving that zero turnaround plus
-all-bank refresh reproduces the pre-turnaround kernel bit-identically,
-for every recorded engine/channel/rank/PARA configuration.
+``-zeroturn`` entries run with ``trtw = twtr = 0`` timing overrides and
+``refresh_granularity="all_bank"``, and hold the results of the dense
+reference for that timing — the pre-turnaround, pre-REFsb model (first
+recorded at commit cb6b0c8, re-pinned once when event skipping became
+exact).  They prove that zero turnaround plus all-bank refresh still
+reproduces that model, for every recorded engine/channel/rank/PARA
+configuration.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ AUDIT_GOLDENS = (
 )
 
 
-def run_entry(entry: dict):
+def run_entry(entry: dict, dense: bool = False):
     config_data = dict(entry["config"])
     # Optional partial TimingParams override (e.g. {"trtw": 0, "twtr": 0}),
     # applied on top of the capacity-derived preset.
@@ -60,7 +66,7 @@ def run_entry(entry: dict):
     system = System(
         config, profiles, seed=entry["seed"], instr_budget=entry["instr_budget"]
     )
-    return system.run()
+    return system.run(dense=dense)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDENS))
@@ -76,6 +82,13 @@ def test_kernel_matches_golden(name):
     for field in golden:
         assert result[field] == golden[field], f"{name}: {field} diverged"
     assert result == golden
+
+
+@pytest.mark.parametrize("name", sorted(GOLDENS))
+def test_dense_reference_matches_golden(name):
+    """Event skipping is exact: the every-cycle run gives the golden too."""
+    entry = GOLDENS[name]
+    assert result_to_dict(run_entry(entry, dense=True)) == entry["result"]
 
 
 def test_goldens_cover_every_engine():
@@ -137,7 +150,7 @@ def _audit_grid() -> dict[str, dict]:
 AUDIT_GRID = _audit_grid()
 
 
-def _audit_digest(entry: dict) -> str:
+def _audit_digest(entry: dict, dense: bool = False) -> str:
     config_data = dict(entry["config"])
     timing_overrides = config_data.pop("timing", None)
     config = SystemConfig(**config_data)
@@ -148,7 +161,7 @@ def _audit_digest(entry: dict) -> str:
         config, profiles, seed=entry["seed"], instr_budget=entry["instr_budget"]
     )
     auditors = attach_auditors(system)
-    system.run()
+    system.run(dense=dense)
     digest = hashlib.sha256()
     for auditor in auditors:
         log = auditor.export_log()
@@ -175,6 +188,12 @@ def test_audit_log_matches_digest_golden(name):
     assert digest == AUDIT_GOLDENS[name], (
         f"{name}: audit log diverged from the recorded command stream"
     )
+
+
+@pytest.mark.parametrize("name", sorted(AUDIT_GRID))
+def test_dense_audit_log_matches_digest_golden(name):
+    """The every-cycle run issues the same command stream, byte for byte."""
+    assert _audit_digest(AUDIT_GRID[name], dense=True) == AUDIT_GOLDENS[name]
 
 
 def test_audit_grid_covers_matrix():

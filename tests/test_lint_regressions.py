@@ -1,13 +1,15 @@
 """Regression tests for the bugs the first ``repro lint`` run surfaced.
 
 The dirty-flag rule found four places where a refresh engine mutated
-deadline-bearing scheduling state without invalidating the memoized
-``next_event`` (the rank-drain block in the baseline and elastic engines,
+deadline-bearing scheduling state without invalidating the controller's
+wake memo (the rank-drain block in the baseline and elastic engines,
 HiRA's ``_refresh_active`` chokepoint, and the elastic same-bank
 heap->deferred promotion); the protocol-dispatch rule found that the
 worker entered its job loop on *any* non-reject registration reply.  Each
 test here pins the fixed behavior so the lint rules are backed by
-runtime evidence, not just static cleanliness.
+runtime evidence, not just static cleanliness.  The memo is
+``schedule()``'s ``_progress_at``: a mark resets it to 0, so each test
+plants a future wake and checks whether the call cleared it.
 """
 
 import socket
@@ -22,6 +24,10 @@ from repro.sim.controller import BaselineRefreshEngine, MemoryController
 from repro.sim.elastic import ElasticRefreshEngine
 
 
+#: A wake memo far in the future: only a mark resets it to 0.
+ASLEEP = 1 << 40
+
+
 def make_mc(engine, **overrides):
     config = SystemConfig(**overrides)
     mc = MemoryController(0, config, engine)
@@ -31,25 +37,25 @@ def make_mc(engine, **overrides):
 
 class TestDirtyFlagFixes:
     def test_baseline_rank_drain_block_marks_dirty(self):
-        """Entering the REF drain (blocking a rank) must wake next_event."""
+        """Entering the REF drain (blocking a rank) must reset the memo."""
         mc = make_mc(BaselineRefreshEngine(), refresh_mode="baseline")
         mc.issue_act(0, 0, 5, 0)  # open a bank: PRE is tRAS-gated, so
         rank = mc.ranks[0]        # urgent() can only block, not issue
         rank.ref_due = 1
-        mc._dirty = False
+        mc._progress_at = ASLEEP
         issued = mc.engine.urgent(2)
         assert not issued  # nothing issuable yet (tRAS still elapsing)
         assert 0 in mc.blocked_ranks
-        assert mc._dirty, "blocking a rank must invalidate the memo"
+        assert mc._progress_at == 0, "blocking a rank must invalidate the memo"
 
     def test_baseline_block_does_not_remark_when_already_blocked(self):
         mc = make_mc(BaselineRefreshEngine(), refresh_mode="baseline")
         mc.issue_act(0, 0, 5, 0)
         mc.ranks[0].ref_due = 1
         mc.engine.urgent(2)
-        mc._dirty = False
+        mc._progress_at = ASLEEP
         mc.engine.urgent(3)  # rank already blocked: no state change
-        assert not mc._dirty
+        assert mc._progress_at == ASLEEP
 
     def test_elastic_committed_rank_block_marks_dirty(self):
         mc = make_mc(ElasticRefreshEngine(), refresh_mode="elastic")
@@ -57,20 +63,20 @@ class TestDirtyFlagFixes:
         rank = mc.ranks[0]
         rank.ref_due = 1
         mc.engine._committed[0] = True  # already committed: only the
-        mc._dirty = False               # blocked-rank add can mark
+        mc._progress_at = ASLEEP        # blocked-rank add can mark
         issued = mc.engine.urgent(2)
         assert not issued
         assert 0 in mc.blocked_ranks
-        assert mc._dirty
+        assert mc._progress_at == 0
 
     def test_hira_refresh_active_marks_dirty(self):
         mc = make_mc(
             HiraRefreshEngine(), refresh_mode="hira", capacity_gbit=8.0
         )
-        mc._dirty = False
+        mc._progress_at = ASLEEP
         mc.engine._refresh_active(0, 0)
-        assert mc._dirty, (
-            "recomputing a bank's deadline-set membership feeds next_event "
+        assert mc._progress_at == 0, (
+            "recomputing a bank's deadline-set membership feeds urgent_wake "
             "and must invalidate the memo"
         )
 
@@ -83,10 +89,10 @@ class TestDirtyFlagFixes:
         engine = mc.engine
         assert engine._sb_heap, "same-bank attach seeds the due heap"
         now = engine._sb_heap[0][0] + 1  # first entry is due
-        mc._dirty = False
+        mc._progress_at = ASLEEP
         engine._sb_promote(now)
         assert not engine._sb_heap or engine._sb_heap[0][0] > now
-        assert mc._dirty, "heap->deferred moves must invalidate the memo"
+        assert mc._progress_at == 0, "heap->deferred moves must invalidate the memo"
 
     def test_elastic_sb_promote_noop_stays_clean(self):
         mc = make_mc(
@@ -95,9 +101,9 @@ class TestDirtyFlagFixes:
             refresh_granularity="same_bank",
         )
         engine = mc.engine
-        mc._dirty = False
+        mc._progress_at = ASLEEP
         engine._sb_promote(0)  # nothing due at cycle 0
-        assert not mc._dirty
+        assert mc._progress_at == ASLEEP
 
 
 class TestWorkerRegistrationReply:

@@ -10,6 +10,8 @@ from repro.sim.controller import (
     NoRefreshEngine,
 )
 from repro.sim.request import Request
+from repro.sim.system import System
+from repro.sim.trace import TraceProfile
 
 
 def make_mc(mode="none", **overrides):
@@ -163,6 +165,31 @@ class TestBaselineRefresh:
             mc.schedule(cycle)
         assert mc.stats.refs == 1
         assert mc.bank(0, 0).open_row is None
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    @pytest.mark.parametrize("mode", ["baseline", "elastic"])
+    def test_drain_pre_issues_when_next_pre_allows_under_system_run(self, mode, extra):
+        # Once the REF drain blocks the rank, only the drain PRE of the
+        # open bank can issue.  A queued write still hits that row, and
+        # its column gate and the rank's REF-readiness gate are both set
+        # later than the PRE's tRAS gate, so the event loop must wake at
+        # next_pre, not at either of those.  (Elastic engages at once:
+        # with no read queued it refreshes early.)
+        config = SystemConfig(refresh_mode=mode, cores=1)
+        idle = TraceProfile("idle", mpki=0.001, row_locality=0.0)
+        system = System(config, [idle], instr_budget=100_000)
+        mc = system.controllers[0]
+        mc.issue_act(0, 1, 5, 0)
+        bank = mc.bank(0, 1)
+        pre_at = bank.next_pre
+        bank.next_rdwr = pre_at + 20
+        mc.enqueue(req(row=5, bank=1, is_write=True))
+        mc.ranks[0].ref_due = 0
+        mc.ranks[0].ref_ready = pre_at + 10
+        system.run(max_cycles=pre_at + extra)
+        assert 0 in mc.blocked_ranks
+        assert mc.stats.pres == extra  # not before next_pre, and exactly at it
+        assert (bank.open_row is None) == bool(extra)
 
 
 class TestHiraPrimitives:
