@@ -5,7 +5,7 @@ Nine subcommands mirror the repository's main workflows:
 - ``characterize`` — run the §4 experiments on a tested module.
 - ``simulate`` — one cycle-level run of a refresh configuration.
 - ``audit`` — run one configuration with command auditors attached and
-  re-verify the stream (optionally against the rule-table oracle).
+  re-verify the stream against the declarative timing rule table.
 - ``sweep`` — an orchestrated parameter-grid sweep (parallel + cached,
   with pluggable execution backends and incremental regeneration).
 - ``worker`` — a sweep-execution worker daemon for ``--backend socket``.
@@ -21,7 +21,8 @@ Usage::
 
     python -m repro.cli characterize --module C0
     python -m repro.cli simulate --capacity 128 --mode hira --slack 2
-    python -m repro.cli audit --mode hira --granularity same_bank --oracle
+    python -m repro.cli audit --mode hira --granularity same_bank \
+        --rules-out rules.json
     python -m repro.cli sweep --modes baseline,hira --capacities 8,32 \
         --mixes 2 --workers 4 --cache-dir .sweep-cache
     python -m repro.cli worker --port 7781 &
@@ -156,33 +157,24 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     )
     auditors = attach_auditors(system)
     result = system.run()
-    oracle = oracle_for_config(config) if args.oracle else None
 
-    if args.rules_out and oracle is not None:
+    if args.rules_out:
+        table = oracle_for_config(config).table
         atomic_write_text(
-            args.rules_out, json.dumps(oracle.table.to_json(), indent=2) + "\n"
+            args.rules_out, json.dumps(table.to_json(), indent=2) + "\n"
         )
         print(f"wrote rule table to {args.rules_out}")
 
     failed = False
     rows = []
     for channel, auditor in enumerate(auditors):
-        auditor_problems = auditor.violations()
-        oracle_problems = (
-            oracle.check_messages(auditor.records) if oracle is not None else None
+        problems = auditor.violations()
+        rows.append(
+            [f"channel {channel}", str(len(auditor.records)), str(len(problems))]
         )
-        rows.append([
-            f"channel {channel}",
-            str(len(auditor.records)),
-            str(len(auditor_problems)),
-            "-" if oracle_problems is None else str(len(oracle_problems)),
-        ])
-        for problem in auditor_problems[:10]:
-            print(f"channel {channel} auditor: {problem}")
-        for problem in (oracle_problems or [])[:10]:
-            print(f"channel {channel} oracle: {problem}")
-        if auditor_problems or oracle_problems:
-            failed = True
+        for problem in problems[:10]:
+            print(f"channel {channel}: {problem}")
+        failed = failed or bool(problems)
         if args.export_log:
             path = Path(args.export_log)
             if len(auditors) > 1:
@@ -190,7 +182,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
             atomic_write_text(path, json.dumps(auditor.export_log()) + "\n")
             print(f"wrote audit log to {path}")
     print(format_table(
-        ["channel", "commands", "auditor violations", "oracle violations"],
+        ["channel", "commands", "violations"],
         rows,
         title=f"audit: {args.mode}/{args.granularity}, "
         f"{result.cycles} cycles, finished={result.finished}",
@@ -198,8 +190,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     if failed:
         print("FAIL: timing violations found")
         return 1
-    checkers = "auditor + oracle" if oracle is not None else "auditor"
-    print(f"OK: command stream clean under {checkers}")
+    print("OK: command stream clean under the timing rule table")
     return 0
 
 
@@ -568,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "audit",
-        help="re-verify a run's command stream (auditor, optionally oracle)",
+        help="re-verify a run's command stream against the timing rule table",
     )
     p.add_argument("--capacity", type=float, default=8.0)
     p.add_argument("--channels", type=int, default=1)
@@ -581,14 +572,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mix", type=int, default=0)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--instructions", type=int, default=20_000)
-    p.add_argument("--oracle", action="store_true",
-                   help="also replay the stream against the declarative "
-                        "rule-table oracle (second opinion, independent of "
-                        "the auditor's bookkeeping)")
     p.add_argument("--export-log", default=None, dest="export_log",
                    help="write each channel's audit log as re-checkable JSON")
     p.add_argument("--rules-out", default=None, dest="rules_out",
-                   help="with --oracle: write the generated rule table as JSON")
+                   help="write the generated timing rule table as JSON")
     p.set_defaults(func=_cmd_audit)
 
     p = sub.add_parser("sweep", help="orchestrated parameter-grid sweep")

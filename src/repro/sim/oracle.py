@@ -1,15 +1,17 @@
-"""Second-opinion timing oracle: a declarative rule-table checker.
+"""The timing checker: a declarative rule table and its replay.
 
-The controller (:mod:`repro.sim.controller`) and the auditor
-(:mod:`repro.sim.audit`) grew out of one codebase, so a shared
-misconception — a wrong formula, a missing interlock — passes both
-silently.  This module is the independent second opinion: it compiles
-:class:`repro.dram.timing.TimingParams` into an explicit, serialisable
-table of declarative rules and replays a recorded command stream against
-that table.  It shares **no scheduling code** with the controller or the
-auditor; the only common ground is the log format (``cycle``, ``kind``,
-``rank``, ``bank``, ``row``, ``tag`` per command) and the ps→cycle
-conversion that defines the cycle domain itself.
+The controller (:mod:`repro.sim.controller`) enforces DRAM timing with
+hand-written issue gates, so a misconception there — a wrong formula, a
+missing interlock — would pass any check written the same way.  This
+module is the independent second opinion and the project's only timing
+checker: it compiles :class:`repro.dram.timing.TimingParams` into an
+explicit, serialisable table of declarative rules and replays a recorded
+command stream against that table.  The command recorder
+(:class:`repro.sim.audit.CommandAuditor`) delegates its ``violations()``
+here.  The module shares **no code** with the controller; the only
+common ground is the log format (``cycle``, ``kind``, ``rank``,
+``bank``, ``row``, ``tag`` per command) and the ps→cycle conversion that
+defines the cycle domain itself.
 
 The idiom is ported from the antmicro ``lpddr4-dram-controller`` UVM
 testbench's ``TimingChecker``: a timing constraint is *data* — a
@@ -62,7 +64,6 @@ from collections import deque
 from dataclasses import dataclass, field
 
 #: Maximum REF-to-REF gap DDR4 allows (8 postponed commands ⇒ 9 × tREFI).
-#: Deliberately restated here rather than imported from the auditor.
 REF_DEBIT_LIMIT = 9
 
 SAME_BANK = "same-bank"

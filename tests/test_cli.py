@@ -35,11 +35,12 @@ class TestParser:
     def test_audit_args(self):
         args = build_parser().parse_args([
             "audit", "--mode", "baseline", "--granularity", "same_bank",
-            "--oracle", "--export-log", "log.json", "--rules-out", "rules.json",
+            "--export-log", "log.json", "--rules-out", "rules.json",
         ])
         assert args.mode == "baseline" and args.granularity == "same_bank"
-        assert args.oracle and args.export_log == "log.json"
+        assert args.export_log == "log.json"
         assert args.rules_out == "rules.json"
+        assert not hasattr(args, "oracle")
 
     def test_worker_args(self):
         args = build_parser().parse_args([
@@ -169,11 +170,12 @@ class TestCommands:
         rules = tmp_path / "rules.json"
         assert main([
             "audit", "--mode", "hira", "--granularity", "same_bank",
-            "--instructions", "3000", "--oracle",
+            "--instructions", "3000",
             "--export-log", str(log), "--rules-out", str(rules),
         ]) == 0
         out = capsys.readouterr().out
-        assert "OK: command stream clean under auditor + oracle" in out
+        assert "OK: command stream clean under the timing rule table" in out
+        assert f"wrote rule table to {rules}" in out
         payload = json.loads(log.read_text())
         assert payload["records"]
         from repro.sim.audit import records_from_log

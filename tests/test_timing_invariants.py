@@ -14,6 +14,7 @@ import pytest
 
 from repro.sim.audit import CommandAuditor, attach_auditors
 from repro.sim.config import SystemConfig
+from repro.sim.oracle import oracle_for_config
 from repro.sim.system import System
 from repro.sim.trace import TraceProfile
 from repro.workloads.mixes import mix_for
@@ -47,6 +48,13 @@ def run_audited(config: SystemConfig, mix, seed: int, instr: int = 12_000):
 def assert_clean(auditors) -> None:
     problems = [p for a in auditors for p in a.violations()]
     assert problems == [], "\n".join(problems[:10])
+
+
+def _rules(auditor) -> set[str]:
+    """The distinct rule ids, without scope (e.g. ``tRFC(REF->RD)``), that
+    the rule table flags in the auditor's recorded stream."""
+    oracle = oracle_for_config(auditor.mc.config)
+    return {v.rule.split("@")[0] for v in oracle.check(auditor.records)}
 
 
 ENGINE_CONFIGS = [
@@ -113,7 +121,7 @@ class TestEnginesHoldInvariants:
     @pytest.mark.parametrize("mode", ["baseline", "elastic", "hira"])
     def test_write_heavy_traces_hold_twr(self, mode):
         # Low read fractions force write drains: every PRE after a write
-        # burst must wait out tWR on the new auditor.
+        # burst must wait out tWR under the rule table.
         mix = [
             TraceProfile(
                 f"wr{i}", mpki=30.0, row_locality=0.4, read_fraction=0.25,
@@ -141,14 +149,13 @@ class TestEnginesHoldInvariants:
     @pytest.mark.parametrize("trace_seed", [41, 43])
     def test_bankgroup_spacing_randomized(self, mode, trace_seed):
         # Same-group ACT pairs must be spaced by tRRD_L, cross-group by
-        # tRRD_S — recomputed here independently of the auditor so a bug
-        # in the auditor's own bookkeeping cannot hide one in the
-        # scheduler.
+        # tRRD_S — recomputed here independently of the rule table so a
+        # bug in the table cannot hide one in the scheduler.
         config = SystemConfig(refresh_mode=mode)
         __, auditors = run_audited(config, random_mix(trace_seed), seed=trace_seed)
         assert_clean(auditors)
         for auditor in auditors:
-            groups = auditor.banks_per_bankgroup
+            groups = auditor.mc.banks_per_bankgroup
             acts = sorted(
                 (r for r in auditor.records if r.kind == "ACT" and r.tag != "hira2"),
                 key=lambda r: r.cycle,
@@ -158,11 +165,11 @@ class TestEnginesHoldInvariants:
             for rec in acts:
                 prev = by_rank.get(rec.rank)
                 if prev is not None:
-                    assert rec.cycle - prev.cycle >= auditor.trrd_s_c, (rec, prev)
+                    assert rec.cycle - prev.cycle >= auditor.mc.trrd_s_c, (rec, prev)
                 group_key = (rec.rank, rec.bank // groups)
                 prev_group = by_group.get(group_key)
                 if prev_group is not None:
-                    assert rec.cycle - prev_group.cycle >= auditor.trrd_l_c, (
+                    assert rec.cycle - prev_group.cycle >= auditor.mc.trrd_l_c, (
                         rec, prev_group,
                     )
                 by_rank[rec.rank] = rec
@@ -186,7 +193,7 @@ class TestRefreshProgress:
             system = System(config, mix, seed=4, instr_budget=40_000)
             auditors = attach_auditors(system)
             result = system.run(max_cycles=6_000_000)
-            trefi_c = auditors[0].trefi_c
+            trefi_c = auditors[0].mc.trefi_c
             elapsed_trefis = result.cycles / trefi_c
             assert result.stat_total("refs") >= int(elapsed_trefis) - 1, mode
             assert_clean(auditors)
@@ -196,19 +203,18 @@ class TestRefreshProgress:
         system = System(config, random_mix(1), seed=1, instr_budget=2_000)
         auditor = CommandAuditor(system.controllers[0])
         # A long command stream with no REF at all (the starved case).
-        span = 10 * auditor.trefi_c
+        span = 10 * auditor.mc.trefi_c
         auditor.on_act(0, 0, 0, 1)
-        auditor.on_pre(auditor.tras_c, 0, 0)
+        auditor.on_pre(auditor.mc.tras_c, 0, 0)
         auditor.on_act(span, 0, 0, 2)
-        problems = auditor.violations()
-        assert any("no REF" in p for p in problems)
+        assert "tREFI-cadence(REF)" in _rules(auditor)
 
     def test_baseline_ref_cadence(self):
         config = SystemConfig(refresh_mode="baseline")
         result, auditors = run_audited(config, random_mix(3), seed=3, instr=30_000)
         mc = None  # auditors carry the controller
         refs = result.stat_total("refs")
-        expected = result.cycles / auditors[0].trefi_c
+        expected = result.cycles / auditors[0].mc.trefi_c
         assert refs >= int(expected) - 1
 
     def test_hira_meets_deadlines_with_slack(self):
@@ -239,7 +245,7 @@ class TestRefreshProgress:
             system = System(config, mix, seed=4, instr_budget=40_000)
             auditors = attach_auditors(system)
             result = system.run(max_cycles=6_000_000)
-            trefi_c = auditors[0].trefi_c
+            trefi_c = auditors[0].mc.trefi_c
             banks = config.geometry.banks_per_rank
             # One REFsb per bank per tREFI; elastic may defer each bank's
             # REFsb by up to the 8-command postponement budget.
@@ -281,9 +287,7 @@ class TestAuditorMechanics:
         auditor.on_act(1000, 0, 0, 7)
         auditor.on_act(1010, 0, 0, 9)  # same bank, far below tRC
         auditor.on_act(1012, 0, 1, 3)  # other bank, below tRRD
-        problems = auditor.violations()
-        assert any("tRC" in p for p in problems)
-        assert any("tRRD" in p for p in problems)
+        assert {"tRC(ACT->ACT)", "tRRD_S(ACT->ACT)"} <= _rules(auditor)
 
     def test_detects_planted_trrd_l_violation(self):
         # Same-bank-group ACTs at tRRD_S spacing satisfy the short but not
@@ -292,10 +296,8 @@ class TestAuditorMechanics:
         system = System(config, random_mix(1), seed=1, instr_budget=2_000)
         auditor = CommandAuditor(system.controllers[0])
         auditor.on_act(1000, 0, 0, 5)
-        auditor.on_act(1000 + auditor.trrd_s_c, 0, 1, 6)  # bank 1: same group
-        problems = auditor.violations()
-        assert any("tRRD_L" in p for p in problems)
-        assert not any("tRRD_S" in p for p in problems)
+        auditor.on_act(1000 + auditor.mc.trrd_s_c, 0, 1, 6)  # bank 1: same group
+        assert _rules(auditor) == {"tRRD_L(ACT->ACT)"}
 
     def test_cross_group_acts_at_trrd_s_are_legal(self):
         config = SystemConfig(refresh_mode="none")
@@ -304,7 +306,7 @@ class TestAuditorMechanics:
         auditor = CommandAuditor(mc)
         bank_cross = mc.config.geometry.banks_per_bankgroup  # first bank of group 1
         auditor.on_act(1000, 0, 0, 5)
-        auditor.on_act(1000 + auditor.trrd_s_c, 0, bank_cross, 6)
+        auditor.on_act(1000 + auditor.mc.trrd_s_c, 0, bank_cross, 6)
         assert auditor.violations() == []
 
     def test_detects_planted_trcd_violation(self):
@@ -312,15 +314,15 @@ class TestAuditorMechanics:
         system = System(config, random_mix(1), seed=1, instr_budget=2_000)
         auditor = CommandAuditor(system.controllers[0])
         auditor.on_act(1000, 0, 0, 5)
-        auditor.on_col(1000 + auditor.trcd_c - 1, 0, 0, is_write=False)
-        assert any("tRCD" in p for p in auditor.violations())
+        auditor.on_col(1000 + auditor.mc.trcd_c - 1, 0, 0, is_write=False)
+        assert "tRCD(ACT->RD)" in _rules(auditor)
 
     def test_col_at_trcd_boundary_is_legal(self):
         config = SystemConfig(refresh_mode="none")
         system = System(config, random_mix(1), seed=1, instr_budget=2_000)
         auditor = CommandAuditor(system.controllers[0])
         auditor.on_act(1000, 0, 0, 5)
-        auditor.on_col(1000 + auditor.trcd_c, 0, 0, is_write=False)
+        auditor.on_col(1000 + auditor.mc.trcd_c, 0, 0, is_write=False)
         assert auditor.violations() == []
 
     def test_detects_read_during_ref(self):
@@ -329,9 +331,7 @@ class TestAuditorMechanics:
         auditor = CommandAuditor(system.controllers[0])
         auditor.on_ref(1000, 0)
         auditor.on_col(1005, 0, 0, is_write=False)
-        assert any(
-            "RD to rank 0 during REF" in p for p in auditor.violations()
-        )
+        assert "tRFC(REF->RD)" in _rules(auditor)
 
     def test_detects_planted_twr_violation(self):
         config = SystemConfig(refresh_mode="none")
@@ -340,10 +340,9 @@ class TestAuditorMechanics:
         auditor.on_act(1000, 0, 0, 5)
         wr = 1000 + system.controllers[0].trcd_c
         auditor.on_col(wr, 0, 0, is_write=True)
-        burst_end = wr + auditor.tcwl_c + auditor.tbl_c
-        auditor.on_pre(burst_end + auditor.twr_c - 1, 0, 0)  # one cycle early
-        problems = auditor.violations()
-        assert any("tWR" in p for p in problems)
+        burst_end = wr + auditor.mc.tcwl_c + auditor.mc.tbl_c
+        auditor.on_pre(burst_end + auditor.mc.twr_c - 1, 0, 0)  # one cycle early
+        assert "tWR(WR->PRE)" in _rules(auditor)
 
     def test_pre_at_twr_boundary_is_legal(self):
         config = SystemConfig(refresh_mode="none")
@@ -352,8 +351,8 @@ class TestAuditorMechanics:
         auditor.on_act(1000, 0, 0, 5)
         wr = 1000 + system.controllers[0].trcd_c
         auditor.on_col(wr, 0, 0, is_write=True)
-        burst_end = wr + auditor.tcwl_c + auditor.tbl_c
-        auditor.on_pre(max(burst_end + auditor.twr_c, 1000 + auditor.tras_c), 0, 0)
+        burst_end = wr + auditor.mc.tcwl_c + auditor.mc.tbl_c
+        auditor.on_pre(max(burst_end + auditor.mc.twr_c, 1000 + auditor.mc.tras_c), 0, 0)
         assert auditor.violations() == []
 
     def test_detects_planted_trtp_violation(self):
@@ -361,20 +360,19 @@ class TestAuditorMechanics:
         system = System(config, random_mix(1), seed=1, instr_budget=2_000)
         auditor = CommandAuditor(system.controllers[0])
         auditor.on_act(1000, 0, 0, 5)
-        rd = 1000 + auditor.tras_c  # tRAS already satisfied at the PRE below
+        rd = 1000 + auditor.mc.tras_c  # tRAS already satisfied at the PRE below
         auditor.on_col(rd, 0, 0, is_write=False)
-        auditor.on_pre(rd + auditor.trtp_c - 1, 0, 0)  # one cycle early
-        problems = auditor.violations()
-        assert any("tRTP" in p for p in problems)
+        auditor.on_pre(rd + auditor.mc.trtp_c - 1, 0, 0)  # one cycle early
+        assert "tRTP(RD->PRE)" in _rules(auditor)
 
     def test_pre_at_trtp_boundary_is_legal(self):
         config = SystemConfig(refresh_mode="none")
         system = System(config, random_mix(1), seed=1, instr_budget=2_000)
         auditor = CommandAuditor(system.controllers[0])
         auditor.on_act(1000, 0, 0, 5)
-        rd = 1000 + auditor.tras_c
+        rd = 1000 + auditor.mc.tras_c
         auditor.on_col(rd, 0, 0, is_write=False)
-        auditor.on_pre(rd + auditor.trtp_c, 0, 0)
+        auditor.on_pre(rd + auditor.mc.trtp_c, 0, 0)
         assert auditor.violations() == []
 
     def test_detects_planted_data_bus_conflict(self):
@@ -386,12 +384,11 @@ class TestAuditorMechanics:
         auditor = CommandAuditor(mc)
         bank_cross = mc.config.geometry.banks_per_bankgroup
         auditor.on_act(1000, 0, 0, 5)
-        auditor.on_act(1000 + auditor.trrd_s_c, 0, bank_cross, 6)
+        auditor.on_act(1000 + auditor.mc.trrd_s_c, 0, bank_cross, 6)
         rd = 1000 + mc.trcd_c
         auditor.on_col(rd, 0, 0, is_write=False)
         auditor.on_col(rd + 1, 0, bank_cross, is_write=False)
-        problems = auditor.violations()
-        assert any("data-bus conflict" in p for p in problems)
+        assert "tBL(RD->RD)" in _rules(auditor)
 
     def test_detects_read_write_data_bus_conflict(self):
         # tCL > tCWL: a WR issued right after a RD bursts *earlier*, so the
@@ -402,15 +399,14 @@ class TestAuditorMechanics:
         auditor = CommandAuditor(mc)
         bank_cross = mc.config.geometry.banks_per_bankgroup
         auditor.on_act(1000, 0, 0, 5)
-        auditor.on_act(1000 + auditor.trrd_s_c, 0, bank_cross, 6)
+        auditor.on_act(1000 + auditor.mc.trrd_s_c, 0, bank_cross, 6)
         rd = 1000 + mc.trcd_c
         auditor.on_col(rd, 0, 0, is_write=False)
         # tCL - tCWL cycles later the WR burst would abut the RD burst; a
         # couple of cycles after that it lands mid-burst.
-        wr = rd + (auditor.tcl_c - auditor.tcwl_c) + auditor.tbl_c - 2
+        wr = rd + (auditor.mc.tcl_c - auditor.mc.tcwl_c) + auditor.mc.tbl_c - 2
         auditor.on_col(wr, 0, bank_cross, is_write=True)
-        problems = auditor.violations()
-        assert any("data-bus conflict" in p for p in problems)
+        assert "tBL+tRTW(RD->WR)" in _rules(auditor)
 
     def test_back_to_back_bursts_are_legal(self):
         config = SystemConfig(refresh_mode="none")
@@ -419,10 +415,10 @@ class TestAuditorMechanics:
         auditor = CommandAuditor(mc)
         bank_cross = mc.config.geometry.banks_per_bankgroup
         auditor.on_act(1000, 0, 0, 5)
-        auditor.on_act(1000 + auditor.trrd_s_c, 0, bank_cross, 6)
+        auditor.on_act(1000 + auditor.mc.trrd_s_c, 0, bank_cross, 6)
         rd = 1000 + mc.trcd_c
         auditor.on_col(rd, 0, 0, is_write=False)
-        auditor.on_col(rd + auditor.tbl_c, 0, bank_cross, is_write=False)
+        auditor.on_col(rd + auditor.mc.tbl_c, 0, bank_cross, is_write=False)
         assert auditor.violations() == []
 
     def test_detects_planted_tfaw_violation(self):
@@ -432,8 +428,7 @@ class TestAuditorMechanics:
         auditor = CommandAuditor(mc)
         for i in range(5):  # five ACTs, tRRD-spaced, inside one tFAW window
             auditor.on_act(1000 + i * mc.trrd_s_c, 0, i, 3)
-        problems = auditor.violations()
-        assert any("tFAW" in p for p in problems)
+        assert "tFAW(ACT)" in _rules(auditor)
 
     def test_detects_ref_during_restore(self):
         config = SystemConfig(refresh_mode="baseline")
@@ -442,8 +437,7 @@ class TestAuditorMechanics:
         auditor = CommandAuditor(mc)
         auditor.on_solo_refresh(1000, 0, 2, close=1000 + mc.tras_c)
         auditor.on_ref(1005, 0)  # bank 2 is still restoring
-        problems = auditor.violations()
-        assert any("open banks" in p for p in problems)
+        assert "ref-open-bank(REF)" in _rules(auditor)
 
     def _bus_auditor(self):
         config = SystemConfig(refresh_mode="none")
@@ -458,25 +452,23 @@ class TestAuditorMechanics:
         mc, auditor = self._bus_auditor()
         bank_cross = mc.config.geometry.banks_per_bankgroup
         auditor.on_act(1000, 0, 0, 5)
-        auditor.on_act(1000 + auditor.trrd_s_c, 0, bank_cross, 6)
+        auditor.on_act(1000 + auditor.mc.trrd_s_c, 0, bank_cross, 6)
         rd = 1000 + mc.trcd_c
         auditor.on_col(rd, 0, 0, is_write=False)
-        rd_end = rd + auditor.tcl_c + auditor.tbl_c
-        wr = rd_end + auditor.trtw_c - 1 - auditor.tcwl_c
+        rd_end = rd + auditor.mc.tcl_c + auditor.mc.tbl_c
+        wr = rd_end + auditor.mc.trtw_c - 1 - auditor.mc.tcwl_c
         auditor.on_col(wr, 0, bank_cross, is_write=True)
-        problems = auditor.violations()
-        assert any("tRTW" in p for p in problems)
-        assert not any("data-bus conflict" in p for p in problems)
+        assert _rules(auditor) == {"tBL+tRTW(RD->WR)"}
 
     def test_wr_burst_at_trtw_boundary_is_legal(self):
         mc, auditor = self._bus_auditor()
         bank_cross = mc.config.geometry.banks_per_bankgroup
         auditor.on_act(1000, 0, 0, 5)
-        auditor.on_act(1000 + auditor.trrd_s_c, 0, bank_cross, 6)
+        auditor.on_act(1000 + auditor.mc.trrd_s_c, 0, bank_cross, 6)
         rd = 1000 + mc.trcd_c
         auditor.on_col(rd, 0, 0, is_write=False)
-        rd_end = rd + auditor.tcl_c + auditor.tbl_c
-        auditor.on_col(rd_end + auditor.trtw_c - auditor.tcwl_c, 0, bank_cross,
+        rd_end = rd + auditor.mc.tcl_c + auditor.mc.tbl_c
+        auditor.on_col(rd_end + auditor.mc.trtw_c - auditor.mc.tcwl_c, 0, bank_cross,
                        is_write=True)
         assert auditor.violations() == []
 
@@ -484,25 +476,23 @@ class TestAuditorMechanics:
         mc, auditor = self._bus_auditor()
         bank_cross = mc.config.geometry.banks_per_bankgroup
         auditor.on_act(1000, 0, 0, 5)
-        auditor.on_act(1000 + auditor.trrd_s_c, 0, bank_cross, 6)
+        auditor.on_act(1000 + auditor.mc.trrd_s_c, 0, bank_cross, 6)
         wr = 1000 + mc.trcd_c
         auditor.on_col(wr, 0, 0, is_write=True)
-        wr_end = wr + auditor.tcwl_c + auditor.tbl_c
-        rd = wr_end + auditor.twtr_c - 1 - auditor.tcl_c
+        wr_end = wr + auditor.mc.tcwl_c + auditor.mc.tbl_c
+        rd = wr_end + auditor.mc.twtr_c - 1 - auditor.mc.tcl_c
         auditor.on_col(rd, 0, bank_cross, is_write=False)
-        problems = auditor.violations()
-        assert any("tWTR" in p for p in problems)
-        assert not any("data-bus conflict" in p for p in problems)
+        assert _rules(auditor) == {"tBL+tWTR(WR->RD)"}
 
     def test_rd_burst_at_twtr_boundary_is_legal(self):
         mc, auditor = self._bus_auditor()
         bank_cross = mc.config.geometry.banks_per_bankgroup
         auditor.on_act(1000, 0, 0, 5)
-        auditor.on_act(1000 + auditor.trrd_s_c, 0, bank_cross, 6)
+        auditor.on_act(1000 + auditor.mc.trrd_s_c, 0, bank_cross, 6)
         wr = 1000 + mc.trcd_c
         auditor.on_col(wr, 0, 0, is_write=True)
-        wr_end = wr + auditor.tcwl_c + auditor.tbl_c
-        auditor.on_col(wr_end + auditor.twtr_c - auditor.tcl_c, 0, bank_cross,
+        wr_end = wr + auditor.mc.tcwl_c + auditor.mc.tbl_c
+        auditor.on_col(wr_end + auditor.mc.twtr_c - auditor.mc.tcl_c, 0, bank_cross,
                        is_write=False)
         assert auditor.violations() == []
 
@@ -512,10 +502,10 @@ class TestAuditorMechanics:
         mc, auditor = self._bus_auditor()
         bank_cross = mc.config.geometry.banks_per_bankgroup
         auditor.on_act(1000, 0, 0, 5)
-        auditor.on_act(1000 + auditor.trrd_s_c, 0, bank_cross, 6)
+        auditor.on_act(1000 + auditor.mc.trrd_s_c, 0, bank_cross, 6)
         rd = 1000 + mc.trcd_c
         auditor.on_col(rd, 0, 0, is_write=False)
-        auditor.on_col(rd + auditor.tbl_c, 0, bank_cross, is_write=False)
+        auditor.on_col(rd + auditor.mc.tbl_c, 0, bank_cross, is_write=False)
         assert auditor.violations() == []
 
     def test_attaching_auditor_does_not_change_results(self):
@@ -542,36 +532,34 @@ class TestRefsbAuditorMechanics:
         __, auditor = self._auditor()
         auditor.on_act(1000, 0, 0, 5)
         auditor.on_refsb(1010, 0, 0)
-        assert any("REFsb to open bank" in p for p in auditor.violations())
+        assert "refsb-open-bank(REFSB)" in _rules(auditor)
 
     def test_detects_refsb_inside_trp(self):
         __, auditor = self._auditor()
         auditor.on_act(1000, 0, 0, 5)
-        pre = 1000 + auditor.tras_c
+        pre = 1000 + auditor.mc.tras_c
         auditor.on_pre(pre, 0, 0)
-        auditor.on_refsb(pre + auditor.trp_c - 1, 0, 0)  # one cycle early
-        assert any(
-            "REFsb" in p and "after PRE" in p for p in auditor.violations()
-        )
+        auditor.on_refsb(pre + auditor.mc.trp_c - 1, 0, 0)  # one cycle early
+        assert "tRP(PRE->REFSB)" in _rules(auditor)
 
     def test_refsb_at_trp_boundary_is_legal(self):
         __, auditor = self._auditor()
         auditor.on_act(1000, 0, 0, 5)
-        pre = 1000 + auditor.tras_c
+        pre = 1000 + auditor.mc.tras_c
         auditor.on_pre(pre, 0, 0)
-        auditor.on_refsb(pre + auditor.trp_c, 0, 0)
+        auditor.on_refsb(pre + auditor.mc.trp_c, 0, 0)
         assert auditor.violations() == []
 
     def test_detects_act_during_refsb(self):
         __, auditor = self._auditor()
         auditor.on_refsb(1000, 0, 0)
-        auditor.on_act(1000 + auditor.trfc_sb_c - 1, 0, 0, 5)  # one early
-        assert any("during REFsb" in p for p in auditor.violations())
+        auditor.on_act(1000 + auditor.mc.trfc_sb_c - 1, 0, 0, 5)  # one early
+        assert "tRFC_sb(REFSB->ACT)" in _rules(auditor)
 
     def test_act_at_trfc_sb_boundary_is_legal(self):
         __, auditor = self._auditor()
         auditor.on_refsb(1000, 0, 0)
-        auditor.on_act(1000 + auditor.trfc_sb_c, 0, 0, 5)
+        auditor.on_act(1000 + auditor.mc.trfc_sb_c, 0, 0, 5)
         assert auditor.violations() == []
 
     def test_sibling_bank_act_during_refsb_is_legal(self):
@@ -584,13 +572,13 @@ class TestRefsbAuditorMechanics:
     def test_detects_trefsb_gap_violation(self):
         __, auditor = self._auditor()
         auditor.on_refsb(1000, 0, 0)
-        auditor.on_refsb(1000 + auditor.trefsb_gap_c - 1, 0, 1)  # one early
-        assert any("tREFSB_GAP" in p for p in auditor.violations())
+        auditor.on_refsb(1000 + auditor.mc.trefsb_gap_c - 1, 0, 1)  # one early
+        assert "tREFSB_GAP(REFSB->REFSB)" in _rules(auditor)
 
     def test_refsb_at_trefsb_gap_boundary_is_legal(self):
         __, auditor = self._auditor()
         auditor.on_refsb(1000, 0, 0)
-        auditor.on_refsb(1000 + auditor.trefsb_gap_c, 0, 1)
+        auditor.on_refsb(1000 + auditor.mc.trefsb_gap_c, 0, 1)
         assert auditor.violations() == []
 
     def test_detects_refsb_during_ref(self):
@@ -598,43 +586,41 @@ class TestRefsbAuditorMechanics:
         # rank-wide tRFC busy window.
         __, auditor = self._auditor(mode="baseline")
         auditor.on_ref(1000, 0)
-        auditor.on_refsb(1000 + auditor.trfc_c - 1, 0, 0)  # one cycle early
-        assert any(
-            "REFsb to rank 0 during REF" in p for p in auditor.violations()
-        )
+        auditor.on_refsb(1000 + auditor.mc.trfc_c - 1, 0, 0)  # one cycle early
+        assert "tRFC(REF->REFSB)" in _rules(auditor)
 
     def test_refsb_at_trfc_boundary_is_legal(self):
         __, auditor = self._auditor()
         auditor.on_ref(1000, 0)
-        auditor.on_refsb(1000 + auditor.trfc_c, 0, 0)
+        auditor.on_refsb(1000 + auditor.mc.trfc_c, 0, 0)
         assert auditor.violations() == []
 
     def test_detects_ref_during_refsb(self):
         __, auditor = self._auditor(mode="baseline")
         auditor.on_refsb(1000, 0, 2)
         auditor.on_ref(1005, 0)
-        assert any("REFsb in flight" in p for p in auditor.violations())
+        assert "tRFC_sb(REFSB->REF)" in _rules(auditor)
 
     def test_detects_per_bank_cadence_gap(self):
         __, auditor = self._auditor()
         auditor.on_refsb(0, 0, 3)
-        auditor.on_refsb(10 * auditor.trefi_c, 0, 3)
-        assert any(
-            "refresh deadline violation on bank" in p
-            for p in auditor.violations()
-        )
+        auditor.on_refsb(10 * auditor.mc.trefi_c, 0, 3)
+        assert "tREFI-cadence(REFSB)" in _rules(auditor)
 
     def test_detects_starved_bank_in_same_bank_mode(self):
         # A long same-bank-mode stream with no REFsb at all: every bank of
         # the rank must be flagged from the stream bounds.
         __, auditor = self._auditor(granularity="same_bank", mode="baseline")
-        span = 10 * auditor.trefi_c
+        span = 10 * auditor.mc.trefi_c
         auditor.on_act(0, 0, 0, 1)
-        auditor.on_pre(auditor.tras_c, 0, 0)
+        auditor.on_pre(auditor.mc.tras_c, 0, 0)
         auditor.on_act(span, 0, 0, 2)
-        problems = auditor.violations()
-        starved = [p for p in problems if "no REFsb issued" in p]
-        assert len(starved) == auditor.banks_per_rank
+        oracle = oracle_for_config(auditor.mc.config)
+        starved = [
+            v for v in oracle.check(auditor.records)
+            if v.rule.startswith("tREFI-cadence(REFSB)")
+        ]
+        assert len(starved) == auditor.mc.banks_per_rank
 
 
 class TestPairingPolicy:

@@ -58,11 +58,13 @@ def _mutate_dirty_flag(tree: Path) -> None:
 
 
 def _mutate_timing(tree: Path) -> None:
-    """Stop the auditor from enforcing tRTP."""
-    path = tree / "sim" / "audit.py"
+    """Stop the rule table from enforcing tRTP."""
+    path = tree / "sim" / "oracle.py"
     text = path.read_text(encoding="utf-8")
-    assert "trtp" in text, "audit.py no longer references trtp"
-    path.write_text(text.replace("trtp", "ztrtp"), encoding="utf-8")
+    head, sep, tail = text.partition("def build_rule_table(")
+    marker = "timing.trtp"
+    assert sep and marker in tail, "build_rule_table no longer reads timing.trtp"
+    path.write_text(head + sep + tail.replace(marker, "timing.ztrtp"), encoding="utf-8")
 
 
 def _mutate_determinism(tree: Path) -> None:

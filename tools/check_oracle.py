@@ -75,10 +75,10 @@ def _planted_mutation(auditor, oracle) -> list[str]:
     for index, rec in acts:
         key = (rec.rank, rec.bank)
         prev = by_bank.get(key)
-        if prev is not None and rec.cycle - prev.cycle >= auditor.trc_c:
+        if prev is not None and rec.cycle - prev.cycle >= auditor.mc.trc_c:
             mutated = list(auditor.records)
             mutated[index] = CommandRecord(
-                prev.cycle + auditor.trc_c - 1, "ACT", rec.rank, rec.bank,
+                prev.cycle + auditor.mc.trc_c - 1, "ACT", rec.rank, rec.bank,
                 rec.row, rec.tag,
             )
             problems = []
