@@ -60,27 +60,34 @@ class IsolationMap:
             self._sample = list(range(0, subarrays, step))
         else:
             self._sample = list(range(subarrays))
+        self._hist, self._total = self._pair_histogram()
         self._allowed_diffs = self._calibrate(target_coverage)
 
     # ------------------------------------------------------------------
-    def _coverage_given(self, allowed: set[int], sample: list[int] | None = None) -> float:
-        """Average pairable fraction over the sampled subarray pairs.
+    def _pair_histogram(self) -> tuple[list[int], int]:
+        """One pass over the calibration sample's ordered subarray pairs.
 
-        ``sample`` defaults to the calibration sample; pair legality uses
-        the same rules as :meth:`isolated` (rail-difference compatibility
-        plus open-bitline adjacency exclusion).
+        Returns the count of pairable pairs per rail difference plus the
+        number of pairs.  Pairs of equal subarrays (duplicated sample
+        entries included) are skipped; a pair is pairable when the two
+        subarrays are not open-bitline neighbours, which is
+        :meth:`isolated`'s rule minus the rail check.
         """
-        sample = self._sample if sample is None else sample
+        hist = [0] * self.rails
         total = 0
-        good = 0
-        for i in sample:
-            for j in sample:
+        for i in self._sample:
+            for j in self._sample:
                 if i == j:
                     continue
                 total += 1
-                if abs(i - j) > 1 and (self.rail_of[i] - self.rail_of[j]) % self.rails in allowed:
-                    good += 1
-        return good / total if total else 0.0
+                if abs(i - j) > 1:
+                    hist[(self.rail_of[i] - self.rail_of[j]) % self.rails] += 1
+        return hist, total
+
+    def _coverage_given(self, allowed: set[int]) -> float:
+        """Average pairable fraction over the calibration sample's pairs."""
+        good = sum(self._hist[d] for d in allowed)
+        return good / self._total if self._total else 0.0
 
     def _calibrate(self, target: float) -> set[int]:
         """Grow the compatibility set until average coverage meets the target.
@@ -94,7 +101,7 @@ class IsolationMap:
         half = self.rails // 2
         candidates = [
             {d, self.rails - d} if d != half else {d}
-            for d in rng.permutation(range(1, half + 1))
+            for d in map(int, rng.permutation(range(1, half + 1)))
         ]
         allowed: set[int] = set()
         best_err = abs(self._coverage_given(allowed) - target)

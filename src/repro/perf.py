@@ -67,6 +67,10 @@ def measure_workload(
 ) -> dict:
     """Run one pinned workload ``reps`` times; report the median wall.
 
+    ``init_s`` is the median ``System(...)`` construction time (point
+    set-up, including HiRA's isolation-map calibration); the events/s
+    rates time ``System.run`` alone.
+
     The default budget keeps every rep's timed window >= ~1 s on the
     reference container even after the SoA speedup, so timer granularity
     and scheduler jitter stay well under the drift the median absorbs.
@@ -79,11 +83,14 @@ def measure_workload(
     from repro.workloads.mixes import mix_for
 
     config = SystemConfig(**overrides)
+    inits = []
     walls = []
     result = None
     for __ in range(reps):
         profiles = mix_for(0, cores=config.cores)
+        start = time.perf_counter()
         system = System(config, profiles, seed=100, instr_budget=instr_budget)
+        inits.append(time.perf_counter() - start)
         start = time.perf_counter()
         result = system.run()
         walls.append(time.perf_counter() - start)
@@ -94,6 +101,7 @@ def measure_workload(
     row = {
         "wall_s": round(wall, 4),
         "wall_s_all": [round(w, 4) for w in walls],
+        "init_s": round(statistics.median(inits), 4),
         "events": events,
         "events_per_sec": round(events / wall, 1) if timeable else 0.0,
         "cycles": result.cycles,

@@ -163,7 +163,7 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "weighted speedup" in out
 
-    def test_audit_command_with_oracle(self, capsys, tmp_path):
+    def test_audit_command_writes_rule_table(self, capsys, tmp_path):
         import json
 
         log = tmp_path / "audit.json"

@@ -214,6 +214,7 @@ def test_measure_workload_guards_degenerate_walls(monkeypatch):
         reps=1,
     )
     assert row["wall_s"] == 0.0
+    assert row["init_s"] >= 0.0
     assert row["events"] > 0
     assert row["events_per_sec"] == 0.0
     assert row["cycles_per_sec"] == 0.0

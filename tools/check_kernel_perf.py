@@ -35,7 +35,8 @@ def main(argv: list[str] | None = None) -> int:
     print(f"total: {eps:,.0f} events/s over {totals['wall_s']:.2f}s "
           f"({totals.get('speedup_vs_pre_pr', '?')}x vs pre-opt kernel)")
     for name, row in payload["workloads"].items():
-        print(f"  {name}: {row['wall_s']:.2f}s, {row['events_per_sec']:,.0f} events/s")
+        print(f"  {name}: {row['wall_s']:.2f}s, init_s {row['init_s']:.3f}s, "
+              f"{row['events_per_sec']:,.0f} events/s")
 
     if args.min_events_per_sec is not None and eps < args.min_events_per_sec:
         print(f"FAIL: events/sec {eps:,.0f} < floor {args.min_events_per_sec:,.0f}")
