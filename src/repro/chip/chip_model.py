@@ -29,7 +29,7 @@ import numpy as np
 from repro.chip.design import ChipDesign
 from repro.chip.disturb import DisturbState
 from repro.chip.rng import rng_for
-from repro.chip.variation import VariationModel
+from repro.chip.variation import RowTiming, VariationModel
 from repro.dram.commands import Command, CommandKind
 from repro.dram.errors import DramError, TimingViolation
 from repro.dram.timing import DDR4_2400, TimingParams
@@ -37,7 +37,12 @@ from repro.dram.timing import DDR4_2400, TimingParams
 
 @dataclass
 class _OpenRow:
+    """A raised wordline: its logical row, physical row and circuit timing
+    (looked up once per activation), and when it was activated."""
+
     row: int
+    phys: int
+    timing: RowTiming
     act_ps: int
     corrupted: bool = False
 
@@ -68,6 +73,7 @@ class ChipStats:
     ignored_act: int = 0
     corrupted_rows: int = 0
     bitflips_injected: int = 0
+    noise_draws: int = 0
 
 
 class DramChip:
@@ -89,8 +95,8 @@ class DramChip:
         self.geometry = design.geometry
         self.isolation = design.build_isolation_map()
         self.variation = VariationModel(design.variation, chip_seed)
-        self.disturb = DisturbState(self.variation)
         self.stats = ChipStats()
+        self.disturb = DisturbState(self.variation, stats=self.stats)
         self._banks: dict[int, _BankState] = {}
         self._data: dict[tuple[int, int], np.ndarray] = {}
         self._row_bytes = self.geometry.row_bits // 8
@@ -132,12 +138,13 @@ class DramChip:
         self._flip_salt += 1
         rng = rng_for(self.chip_seed, 0xF11B5, bank, row, self._flip_salt)
         positions = rng.integers(0, self._row_bytes, size=count)
-        bits = rng.integers(0, 8, size=count)
-        for pos, bit in zip(positions, bits):
-            arr[pos] ^= np.uint8(1 << int(bit))
+        bits = rng.integers(0, 8, size=count).astype(np.uint8)
+        # Unbuffered: every draw is applied, repeated positions included, so
+        # the bytes equal one XOR per bit (XOR commutes).
+        np.bitwise_xor.at(arr, positions, np.left_shift(np.uint8(1), bits))
         self.stats.bitflips_injected += int(count)
 
-    def _corrupt_row(self, bank: int, row: int, reason: str) -> None:
+    def _corrupt_row(self, bank: int, row: int) -> None:
         """Structural corruption: flip a seeded burst of bits in the row."""
         rng = rng_for(self.chip_seed, 0xDEAD, bank, row, self._flip_salt)
         burst = int(rng.integers(4, 64))
@@ -175,14 +182,15 @@ class DramChip:
         else:  # pragma: no cover - enum is closed
             raise DramError(f"unsupported command {cmd.kind}")
 
-    def _timing_of(self, bank: int, row: int):
-        """Per-row circuit characteristics, keyed by physical position.
+    def _locate(self, bank: int, row: int) -> tuple[int, RowTiming]:
+        """A logical row's physical position and circuit characteristics.
 
         All variation (sense-amp enable, restore quality, RowHammer
         threshold) belongs to the physical row; logical addresses reach it
         through the design's internal scrambling.
         """
-        return self.variation.row_timing(bank, self.design.logical_to_physical(row))
+        phys = self.design.logical_to_physical(row)
+        return phys, self.variation.row_timing(bank, phys)
 
     def _bank(self, bank: int) -> _BankState:
         self.geometry.check_bank(bank)
@@ -208,15 +216,7 @@ class DramChip:
             self._act_during_precharge(bank, state, row, now_ps)
             return
 
-        self._fresh_activation(bank, state, row, now_ps)
-
-    def _fresh_activation(self, bank: int, state: _BankState, row: int, now_ps: int) -> None:
-        sa = self.geometry.subarray_of_row(row)
-        self._sense_row(bank, row)
-        state.open_rows[sa] = _OpenRow(row=row, act_ps=now_ps)
-        state.phase = "open"
-        state.io_owner = sa
-        self.disturb.hammer(bank, self.design.physical_neighbors(row))
+        self._activate(bank, state, row, now_ps)
 
     def _act_during_precharge(self, bank: int, state: _BankState, row: int, now_ps: int) -> None:
         t2 = now_ps - state.pre_ps
@@ -229,16 +229,16 @@ class DramChip:
         interruptible = {
             sa: open_row
             for sa, open_row in state.open_rows.items()
-            if t2 <= self._timing_of(bank, open_row.row).wordline_window_ps
+            if t2 <= open_row.timing.wordline_window_ps
         }
         if not interruptible:
             # Precharge already completed; this is a fresh ACT issued with a
             # violated tRP — the new row senses unprecharged bitlines.
             self._settle(bank, state, now_ps)
-            self._fresh_activation(bank, state, row, now_ps)
+            self._activate(bank, state, row, now_ps)
             if t2 < round(self.timing.trp * 0.9):
                 new_sa = self.geometry.subarray_of_row(row)
-                self._corrupt_row(bank, row, "act-under-trp")
+                self._corrupt_row(bank, row)
                 state.open_rows[new_sa].corrupted = True
             return
 
@@ -247,7 +247,7 @@ class DramChip:
         sa_b = self.geometry.subarray_of_row(row)
         success = True
         for sa_a, open_row in list(state.open_rows.items()):
-            timing_a = self._timing_of(bank, open_row.row)
+            timing_a = open_row.timing
             t1 = state.pre_ps - open_row.act_ps
             checkerboard = self._is_checkerboard(bank, open_row.row)
             if sa_a not in interruptible:
@@ -257,34 +257,39 @@ class DramChip:
             if not self.isolation.isolated(sa_a, sa_b):
                 # Shared bitlines / sense amps: charge sharing corrupts both.
                 if not open_row.corrupted:
-                    self._corrupt_row(bank, open_row.row, "not-isolated")
+                    self._corrupt_row(bank, open_row.row)
                     open_row.corrupted = True
-                self._corrupt_row(bank, row, "not-isolated")
+                self._corrupt_row(bank, row)
                 success = False
                 continue
             if not timing_a.t1_window_ok(t1, checkerboard):
                 if not open_row.corrupted:
-                    self._corrupt_row(bank, open_row.row, "t1-window")
+                    self._corrupt_row(bank, open_row.row)
                     open_row.corrupted = True
                 success = False
             if not timing_a.t2_isolates_io(t2):
                 if not open_row.corrupted:
-                    self._corrupt_row(bank, open_row.row, "io-contention")
+                    self._corrupt_row(bank, open_row.row)
                     open_row.corrupted = True
                 success = False
 
-        self._sense_row(bank, row)
-        state.open_rows[sa_b] = _OpenRow(row=row, act_ps=now_ps)
-        state.phase = "open"
-        state.io_owner = sa_b
-        self.disturb.hammer(bank, self.design.physical_neighbors(row))
+        self._activate(bank, state, row, now_ps)
         if success:
             self.stats.hira_successes += 1
 
-    def _sense_row(self, bank: int, row: int) -> None:
+    def _activate(self, bank: int, state: _BankState, row: int, now_ps: int) -> None:
+        """Raise ``row``'s wordline: sense it, hand its subarray the bank I/O
+        and disturb its physical neighbours."""
+        sa = self.geometry.subarray_of_row(row)
+        phys, timing = self._locate(bank, row)
+        self._sense_row(bank, row, phys, timing)
+        state.open_rows[sa] = _OpenRow(row, phys, timing, now_ps)
+        state.phase = "open"
+        state.io_owner = sa
+        self.disturb.hammer(bank, self.design.neighbors_of_physical(phys))
+
+    def _sense_row(self, bank: int, row: int, phys: int, timing: RowTiming) -> None:
         """Sensing amplifies the stored charge: materialize pending flips."""
-        phys = self.design.logical_to_physical(row)
-        timing = self._timing_of(bank, row)
         flips = self.disturb.flips_on_sense(bank, phys, timing)
         if flips:
             self._inject_flips(bank, row, flips)
@@ -318,7 +323,7 @@ class DramChip:
             return
 
         for open_row in state.open_rows.values():
-            timing_row = self._timing_of(bank, open_row.row)
+            timing_row = open_row.timing
             t1 = now_ps - open_row.act_ps
             checkerboard = self._is_checkerboard(bank, open_row.row)
             need = timing_row.sa_enable_ps + (
@@ -326,7 +331,7 @@ class DramChip:
             )
             if t1 < need and not open_row.corrupted:
                 # Sense amps never latched: charge sharing destroyed the row.
-                self._corrupt_row(bank, open_row.row, "pre-before-sense")
+                self._corrupt_row(bank, open_row.row)
                 open_row.corrupted = True
         state.phase = "precharging"
         state.pre_ps = now_ps
@@ -336,10 +341,7 @@ class DramChip:
         if state.phase != "precharging":
             return
         max_window = max(
-            (
-                self._timing_of(bank, open_row.row).wordline_window_ps
-                for open_row in state.open_rows.values()
-            ),
+            (open_row.timing.wordline_window_ps for open_row in state.open_rows.values()),
             default=0,
         )
         if now_ps - state.pre_ps > max_window:
@@ -354,9 +356,9 @@ class DramChip:
 
     def _close_row(self, bank: int, state: _BankState, sa: int, close_ps: int) -> None:
         open_row = state.open_rows.pop(sa)
-        timing_row = self._timing_of(bank, open_row.row)
+        timing_row = open_row.timing
+        phys = open_row.phys
         duration = close_ps - open_row.act_ps
-        phys = self.design.logical_to_physical(open_row.row)
         needed = timing_row.restore_needed_ps(self.timing.tras)
         if duration >= needed:
             self.disturb.on_restore(bank, phys, timing_row, fraction=1.0)
@@ -398,7 +400,7 @@ class DramChip:
         fill = meta.get("fill")
         if fill is not None:
             self._row_array(bank, open_row.row)[:] = fill
-            self.disturb.on_write(bank, self.design.logical_to_physical(open_row.row))
+            self.disturb.on_write(bank, open_row.phys)
 
     # -- REF --------------------------------------------------------------
     def _do_ref(self, now_ps: int) -> None:
@@ -416,9 +418,9 @@ class DramChip:
             pointer = self._ref_pointer.get(bank, 0)
             for i in range(rows_per_ref):
                 row = (pointer + i) % self.geometry.rows_per_bank
-                self._sense_row(bank, row)
-                phys = self.design.logical_to_physical(row)
-                self.disturb.on_restore(bank, phys, self._timing_of(bank, row), fraction=1.0)
+                phys, timing = self._locate(bank, row)
+                self._sense_row(bank, row, phys, timing)
+                self.disturb.on_restore(bank, phys, timing, fraction=1.0)
             self._ref_pointer[bank] = (pointer + rows_per_ref) % self.geometry.rows_per_bank
 
     # ------------------------------------------------------------------
@@ -441,8 +443,9 @@ class DramChip:
         self.stats.acts += count * len(rows)
         self.stats.pres += count * len(rows)
         for row in rows:
-            self._sense_row(bank, row)
-            self.disturb.hammer(bank, self.design.physical_neighbors(row), count)
+            phys, timing = self._locate(bank, row)
+            self._sense_row(bank, row, phys, timing)
+            self.disturb.hammer(bank, self.design.neighbors_of_physical(phys), count)
         # Advance time past the hammering burst.
         self._last_cmd_ps += count * len(rows) * self.timing.trc
 

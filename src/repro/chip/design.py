@@ -100,14 +100,17 @@ class ChipDesign:
         RowHammer disturbance couples physically adjacent rows; subarray
         boundaries isolate it (sense-amp strips separate the cell mats).
         """
-        phys = self.logical_to_physical(row)
+        return self.neighbors_of_physical(self.logical_to_physical(row))
+
+    def neighbors_of_physical(self, phys: int) -> list[int]:
+        """Physical rows adjacent to physical row ``phys``, within its subarray."""
         sa = phys // self.geometry.rows_per_subarray
-        neighbors = []
-        for cand in (phys - 1, phys + 1):
-            if 0 <= cand < self.geometry.rows_per_bank:
-                if cand // self.geometry.rows_per_subarray == sa:
-                    neighbors.append(cand)
-        return neighbors
+        return [
+            cand
+            for cand in (phys - 1, phys + 1)
+            if 0 <= cand < self.geometry.rows_per_bank
+            and cand // self.geometry.rows_per_subarray == sa
+        ]
 
     def aggressors_for_victim(self, victim_row: int) -> list[int]:
         """Logical rows whose activation disturbs ``victim_row``.
@@ -115,14 +118,7 @@ class ChipDesign:
         This is the ground truth that §4.3's reverse-engineering procedure
         recovers experimentally; tests cross-validate the two.
         """
-        phys_victim = self.logical_to_physical(victim_row)
-        sa = phys_victim // self.geometry.rows_per_subarray
-        out = []
-        for cand in (phys_victim - 1, phys_victim + 1):
-            if 0 <= cand < self.geometry.rows_per_bank:
-                if cand // self.geometry.rows_per_subarray == sa:
-                    out.append(self.physical_to_logical(cand))
-        return out
+        return [self.physical_to_logical(cand) for cand in self.physical_neighbors(victim_row)]
 
 
 def make_design(

@@ -24,8 +24,12 @@ first-half flips — reproducing the paper's ~1.9× mean and 1.09–2.58 spread
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.chip.variation import RowTiming, VariationModel
+
+if TYPE_CHECKING:
+    from repro.chip.chip_model import ChipStats
 
 
 @dataclass
@@ -37,10 +41,15 @@ class _RowDisturb:
 
 @dataclass
 class DisturbState:
-    """Per-chip RowHammer disturbance bookkeeping (physical row space)."""
+    """Per-chip RowHammer disturbance bookkeeping (physical row space).
+
+    ``stats``, when given, counts every threshold-noise draw in its
+    ``noise_draws`` field.
+    """
 
     variation: VariationModel
     rows: dict[tuple[int, int], _RowDisturb] = field(default_factory=dict)
+    stats: ChipStats | None = None
 
     def _entry(self, bank: int, phys_row: int) -> _RowDisturb:
         key = (bank, phys_row)
@@ -72,11 +81,16 @@ class DisturbState:
         """Number of bit flips materializing when this row is sensed.
 
         Returns 0 when the peak disturbance stayed below the row's
-        per-run effective threshold.
+        per-run effective threshold.  That threshold (``nrh`` times a
+        lognormal) is strictly positive, so an undisturbed row (peak 0)
+        never flips and its noise is not drawn; every draw is keyed and
+        stateless, so skipping one shifts no other.
         """
         entry = self.rows.get((bank, phys_row))
-        if entry is None:
+        if entry is None or entry.peak <= 0.0:
             return 0
+        if self.stats is not None:
+            self.stats.noise_draws += 1
         threshold = timing.nrh * self.variation.run_noise(bank, phys_row, entry.run)
         if entry.peak < threshold:
             return 0

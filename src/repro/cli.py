@@ -11,8 +11,9 @@ Nine subcommands mirror the repository's main workflows:
 - ``worker`` — a sweep-execution worker daemon for ``--backend socket``.
 - ``status`` — render the live fleet status file and journal progress.
 - ``security`` — print PARA's (revisited) configuration for a threshold.
-- ``perf`` — measure kernel throughput and write ``BENCH_kernel.json``
-  (``--profile`` adds the phase-attributed wall-time breakdown).
+- ``perf`` — measure kernel throughput and chip-model pair tests/s and
+  write ``BENCH_kernel.json`` (``--profile`` adds the phase-attributed
+  wall-time breakdown).
 - ``lint`` — AST-based invariant linter (dirty-flag discipline, timing
   enforcement coverage, determinism, ``__slots__``, protocol
   exhaustiveness); exit 0 clean / 1 findings / 2 usage error.
@@ -462,6 +463,10 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         title=f"Kernel throughput ({payload['machine']['cpus']} CPU, "
         f"python {payload['machine']['python']}, {args.reps} reps)",
     ))
+    chip = payload["chip"]
+    print(f"chip model: {chip['pair_tests_per_sec']:,.0f} Algorithm 1 pair tests/s "
+          f"on {chip['module']} at t1 = {chip['t1_ps'] / 1_000:g} ns "
+          f"({chip['pair_tests']} tests, {chip['noise_draws']} noise draws)")
     if args.profile:
         profile = payload["profile"]
         prows = [
@@ -673,7 +678,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slack", type=int, default=0)
     p.set_defaults(func=_cmd_security)
 
-    p = sub.add_parser("perf", help="measure kernel throughput (events/sec)")
+    p = sub.add_parser(
+        "perf", help="measure kernel throughput (events/sec) and chip-model pair tests/s")
     p.add_argument("--instructions", type=int, default=200_000,
                    help="measured instructions per workload; the default "
                         "keeps each rep's timed window >= ~1s (matches the "

@@ -244,6 +244,10 @@ CHIP_METRICS = {
         "chip_bitflips_injected_total",
         "RowHammer bitflips injected by the chip model",
     ),
+    "noise_draws": (
+        "chip_noise_draws_total",
+        "Per-run RowHammer threshold-noise draws (senses of disturbed rows)",
+    ),
 }
 
 

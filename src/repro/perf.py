@@ -7,6 +7,8 @@ so it is measured and tracked like a result.  ``repro perf`` (and the
 single-point workloads — the PARA pair at the lowest RowHammer threshold
 and the 128 Gbit capacity-margin pair — with pinned seeds, and writes
 ``BENCH_kernel.json`` so the perf trajectory is recorded per commit.
+The ``chip`` entry beside them times the §4 chip model: Algorithm 1 pair
+tests on one tested module (reported, not gated).
 
 "Events" are DRAM commands plus column accesses served (ACT, PRE, REF,
 RD, WR): the work the scheduler actually performed, independent of how
@@ -52,6 +54,17 @@ PRE_PR_WALL_S: dict[str, float] = {
 }
 
 _EVENT_FIELDS = ("acts", "pres", "refs", "reads_served", "writes_served")
+
+#: The chip-model workload: Algorithm 1 on module C0 at Fig. 4's best
+#: point (t1 = t2 = 3 ns), over the first, middle and last 32 rows of
+#: bank 0, with every 8th of them as RowA.  Contiguous rows include
+#: physical neighbours, so some senses find a disturbed row and draw
+#: threshold noise.
+CHIP_MODULE = "C0"
+CHIP_T1_PS = 3_000
+CHIP_T2_PS = 3_000
+CHIP_CHUNK = 32
+CHIP_ROWS_A_STEP = 8
 
 
 def _count_events(result) -> int:
@@ -114,6 +127,48 @@ def measure_workload(
         row["pre_pr_wall_s"] = ref
         row["speedup_vs_pre_pr"] = round(ref / wall, 2)
     return row
+
+
+def measure_chip(reps: int = 3) -> dict:
+    """Algorithm 1 pair tests per second on the chip model.
+
+    Each rep builds a fresh chip and runs the whole subsample; the rate
+    uses the median wall.  ``noise_draws`` (threshold-noise draws, from
+    ``ChipStats``) and ``average_coverage`` are exact and identical in
+    every rep.
+    """
+    from repro.experiments.coverage import algorithm1_coverage, tested_row_sample
+    from repro.experiments.modules import TESTED_MODULES, build_module_chip
+    from repro.softmc.host import SoftMCHost
+
+    module = next(m for m in TESTED_MODULES if m.label == CHIP_MODULE)
+    walls = []
+    for __ in range(reps):
+        chip = build_module_chip(module)
+        rows = tested_row_sample(chip.geometry, chunk=CHIP_CHUNK)
+        rows_a = rows[::CHIP_ROWS_A_STEP]
+        host = SoftMCHost(chip)
+        start = time.perf_counter()
+        coverages = [
+            algorithm1_coverage(host, 0, row_a, rows, CHIP_T1_PS, CHIP_T2_PS)
+            for row_a in rows_a
+        ]
+        walls.append(time.perf_counter() - start)
+    wall = statistics.median(walls)
+    pair_tests = len(rows_a) * (len(rows) - 1)
+    return {
+        "module": CHIP_MODULE,
+        "t1_ps": CHIP_T1_PS,
+        "t2_ps": CHIP_T2_PS,
+        "rows": len(rows),
+        "rows_a": len(rows_a),
+        "pair_tests": pair_tests,
+        "wall_s": round(wall, 4),
+        "wall_s_all": [round(w, 4) for w in walls],
+        "pair_tests_per_sec": round(pair_tests / wall, 1) if wall > 1e-6 else 0.0,
+        "noise_draws": chip.stats.noise_draws,
+        "average_coverage": round(sum(coverages) / len(coverages), 6),
+    }
 
 
 def profile_kernel(instr_budget: int = 200_000) -> dict:
@@ -203,6 +258,7 @@ def measure_kernel(
                 else {}
             ),
         },
+        "chip": measure_chip(reps=reps),
     }
     if profile:
         payload["profile"] = profile_kernel(instr_budget=instr_budget)

@@ -109,9 +109,10 @@ def test_record_controller_stats_round_trip():
 
 def test_record_chip_stats_round_trip():
     reg = MetricsRegistry()
-    record_chip_stats(reg, ChipStats(acts=5, refs=2), module="C0")
+    record_chip_stats(reg, ChipStats(acts=5, refs=2, noise_draws=7), module="C0")
     assert reg.get("chip_acts_total").value(module="C0") == 5
     assert reg.get("chip_refs_total").value(module="C0") == 2
+    assert reg.get("chip_noise_draws_total").value(module="C0") == 7
 
 
 def test_metrics_from_result_folds_channels():
